@@ -129,12 +129,18 @@ impl Params {
         Ok(Self(map))
     }
 
-    fn usize(&self, key: &str, default: usize) -> Result<usize, CliError> {
-        match self.0.get(key) {
-            None => Ok(default),
+    /// An instance-size parameter, which must lie in `lo..=hi`.
+    fn count(&self, key: &str, default: usize, lo: usize, hi: usize) -> Result<usize, CliError> {
+        let n = match self.0.get(key) {
+            None => default,
             Some(v) => v
                 .parse()
-                .map_err(|_| err(format!("{key} must be a number, got {v:?}"))),
+                .map_err(|_| err(format!("{key} must be a number, got {v:?}")))?,
+        };
+        if (lo..=hi).contains(&n) {
+            Ok(n)
+        } else {
+            Err(err(format!("{key} must be in {lo}..={hi}, got {n}")))
         }
     }
 
@@ -194,10 +200,20 @@ fn parse_rw_variant(s: &str) -> Result<RwVariant, CliError> {
     })
 }
 
+/// Upper bound on every instance-size parameter. It keeps instance
+/// construction (processes, elements, restriction conjuncts) small and
+/// free of arithmetic overflow; schedule spaces outgrow any feasible
+/// sweep long before it.
+const MAX_COUNT: usize = 64;
+
+/// Largest buffer capacity the monitor and ADA bounded-buffer solutions
+/// index (their slot IF-chains are generated for `1..=8`).
+const MAX_INDEXED_CAP: usize = 8;
+
 fn instance(problem: &str, p: &Params) -> Result<Instance, CliError> {
     match problem {
         "one-slot" => {
-            let n = p.usize("items", 3)?;
+            let n = p.count("items", 3, 0, MAX_COUNT)?;
             let items: Vec<i64> = (1..=n as i64).map(|i| i * 10).collect();
             let spec = one_slot::one_slot_spec();
             match p.str("substrate", "monitor") {
@@ -230,11 +246,17 @@ fn instance(problem: &str, p: &Params) -> Result<Instance, CliError> {
             }
         }
         "bounded" => {
-            let n = p.usize("items", 4)?;
-            let cap = p.usize("cap", 2)?;
+            let n = p.count("items", 4, 0, MAX_COUNT)?;
+            let substrate = p.str("substrate", "monitor");
+            let max_cap = if substrate == "csp" {
+                MAX_COUNT
+            } else {
+                MAX_INDEXED_CAP
+            };
+            let cap = p.count("cap", 2, 1, max_cap)?;
             let items: Vec<i64> = (1..=n as i64).collect();
             let spec = bounded::bounded_spec(items.len(), cap);
-            match p.str("substrate", "monitor") {
+            match substrate {
                 "monitor" => {
                     let sys = bounded::monitor_solution(&items, cap);
                     let corr = bounded::monitor_correspondence(&sys, &spec, cap);
@@ -264,9 +286,9 @@ fn instance(problem: &str, p: &Params) -> Result<Instance, CliError> {
             }
         }
         "rw" => {
-            let readers = p.usize("readers", 1)?;
-            let writers = p.usize("writers", 2)?;
-            let rounds = p.usize("rounds", 1)?;
+            let readers = p.count("readers", 1, 0, MAX_COUNT)?;
+            let writers = p.count("writers", 2, 0, MAX_COUNT)?;
+            let rounds = p.count("rounds", 1, 1, MAX_COUNT)?;
             let with_data = p.bool("data", false)?;
             let variant = parse_rw_variant(p.str("variant", "readers"))?;
             let monitor = match p.str("monitor", "readers") {
@@ -298,8 +320,8 @@ fn instance(problem: &str, p: &Params) -> Result<Instance, CliError> {
             Ok(Instance::Monitor { sys, spec, corr })
         }
         "db-update" => {
-            let clients = p.usize("clients", 3)?;
-            let sites = p.usize("sites", 2)?;
+            let clients = p.count("clients", 3, 0, MAX_COUNT)?;
+            let sites = p.count("sites", 2, 1, MAX_COUNT)?;
             let sys = db_update::db_update_program(clients, sites);
             let spec = db_update::db_update_spec(sites, clients);
             let corr = db_update::db_update_correspondence(&sys, &spec, sites);
@@ -311,8 +333,8 @@ fn instance(problem: &str, p: &Params) -> Result<Instance, CliError> {
             })
         }
         "philosophers" => {
-            let n = p.usize("n", 3)?;
-            let meals = p.usize("meals", 1)?;
+            let n = p.count("n", 3, 2, MAX_COUNT)?;
+            let meals = p.count("meals", 1, 0, MAX_COUNT)?;
             let order = match p.str("order", "asymmetric") {
                 "naive" => gem_problems::philosophers::ForkOrder::Naive,
                 "asymmetric" => gem_problems::philosophers::ForkOrder::Asymmetric,
@@ -329,7 +351,7 @@ fn instance(problem: &str, p: &Params) -> Result<Instance, CliError> {
             })
         }
         "life" => {
-            let gens = p.usize("gens", 2)?;
+            let gens = p.count("gens", 2, 1, MAX_COUNT)?;
             let grid = match p.str("grid", "block") {
                 "block" => life::block(),
                 "blinker" => life::blinker(),

@@ -10,6 +10,12 @@ use std::fmt;
 
 const WORD_BITS: usize = 64;
 
+/// Sets over at most `INLINE_BITS` indices keep their words inline:
+/// closure rows and histories of the small computations exploration
+/// seals by the thousand then cost no allocation.
+const INLINE_WORDS: usize = 2;
+const INLINE_BITS: usize = INLINE_WORDS * WORD_BITS;
+
 /// A fixed-capacity set of small integers backed by `u64` words.
 ///
 /// The capacity is set at construction; all indices passed to methods must
@@ -28,34 +34,45 @@ const WORD_BITS: usize = 64;
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct DenseBitSet {
-    words: Vec<u64>,
+    /// The words of a set of capacity up to `INLINE_BITS`; all zero for
+    /// larger sets (and past the capacity), so the derived equality and
+    /// hash compare contents.
+    inline: [u64; INLINE_WORDS],
+    /// The words of a larger set; empty, never allocated, otherwise.
+    heap: Vec<u64>,
     capacity: usize,
 }
 
 impl DenseBitSet {
     /// Creates an empty set able to hold indices `0..capacity`.
     pub fn new(capacity: usize) -> Self {
+        let heap = if capacity <= INLINE_BITS {
+            Vec::new()
+        } else {
+            vec![0; capacity.div_ceil(WORD_BITS)]
+        };
         Self {
-            words: vec![0; capacity.div_ceil(WORD_BITS)],
+            inline: [0; INLINE_WORDS],
+            heap,
             capacity,
         }
     }
 
-    /// Wraps an existing word buffer as a set over `0..capacity`.
-    ///
-    /// The buffer must have exactly `capacity.div_ceil(64)` words and no
-    /// bits set at or above `capacity`. Used by the incremental order to
-    /// hand its rows to [`Closure`](crate::Closure) without re-copying.
-    pub(crate) fn from_words(words: Vec<u64>, capacity: usize) -> Self {
-        debug_assert_eq!(words.len(), capacity.div_ceil(WORD_BITS));
-        debug_assert!(
-            capacity.is_multiple_of(WORD_BITS)
-                || words
-                    .last()
-                    .is_none_or(|w| w >> (capacity % WORD_BITS) == 0),
-            "bits set beyond capacity"
-        );
-        Self { words, capacity }
+    #[inline]
+    fn words(&self) -> &[u64] {
+        if self.capacity <= INLINE_BITS {
+            &self.inline[..self.capacity.div_ceil(WORD_BITS)]
+        } else {
+            &self.heap
+        }
+    }
+
+    fn words_mut(&mut self) -> &mut [u64] {
+        if self.capacity <= INLINE_BITS {
+            &mut self.inline[..self.capacity.div_ceil(WORD_BITS)]
+        } else {
+            &mut self.heap
+        }
     }
 
     /// Creates a set containing every index in `0..capacity`.
@@ -83,7 +100,7 @@ impl DenseBitSet {
             "bit index {index} out of capacity {}",
             self.capacity
         );
-        let word = &mut self.words[index / WORD_BITS];
+        let word = &mut self.words_mut()[index / WORD_BITS];
         let mask = 1u64 << (index % WORD_BITS);
         let fresh = *word & mask == 0;
         *word |= mask;
@@ -101,7 +118,7 @@ impl DenseBitSet {
             "bit index {index} out of capacity {}",
             self.capacity
         );
-        let word = &mut self.words[index / WORD_BITS];
+        let word = &mut self.words_mut()[index / WORD_BITS];
         let mask = 1u64 << (index % WORD_BITS);
         let present = *word & mask != 0;
         *word &= !mask;
@@ -112,28 +129,28 @@ impl DenseBitSet {
     ///
     /// Out-of-capacity indices are reported as absent rather than panicking,
     /// so that queries against a smaller closure row are safe.
+    #[inline]
     pub fn contains(&self, index: usize) -> bool {
-        if index >= self.capacity {
-            return false;
-        }
-        self.words[index / WORD_BITS] & (1u64 << (index % WORD_BITS)) != 0
+        // Bits past the capacity are never set, so the last word needs no
+        // capacity check of its own.
+        self.words()
+            .get(index / WORD_BITS)
+            .is_some_and(|w| w >> (index % WORD_BITS) & 1 != 0)
     }
 
     /// Number of elements in the set.
     pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.words().iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// True if the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        self.words().iter().all(|&w| w == 0)
     }
 
     /// Removes all elements.
     pub fn clear(&mut self) {
-        for w in &mut self.words {
-            *w = 0;
-        }
+        self.words_mut().fill(0);
     }
 
     /// In-place union: `self ← self ∪ other`.
@@ -143,7 +160,7 @@ impl DenseBitSet {
     /// Panics if the capacities differ.
     pub fn union_with(&mut self, other: &DenseBitSet) {
         assert_eq!(self.capacity, other.capacity, "capacity mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
+        for (a, b) in self.words_mut().iter_mut().zip(other.words()) {
             *a |= *b;
         }
     }
@@ -155,7 +172,7 @@ impl DenseBitSet {
     /// Panics if the capacities differ.
     pub fn intersect_with(&mut self, other: &DenseBitSet) {
         assert_eq!(self.capacity, other.capacity, "capacity mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
+        for (a, b) in self.words_mut().iter_mut().zip(other.words()) {
             *a &= *b;
         }
     }
@@ -167,31 +184,35 @@ impl DenseBitSet {
     /// Panics if the capacities differ.
     pub fn difference_with(&mut self, other: &DenseBitSet) {
         assert_eq!(self.capacity, other.capacity, "capacity mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
+        for (a, b) in self.words_mut().iter_mut().zip(other.words()) {
             *a &= !*b;
         }
     }
 
     /// True if every element of `self` is in `other`.
     pub fn is_subset(&self, other: &DenseBitSet) -> bool {
-        self.words
+        self.words()
             .iter()
-            .zip(&other.words)
+            .zip(other.words())
             .all(|(a, b)| a & !b == 0)
-            && self.words.len() <= other.words.len()
+            && self.words().len() <= other.words().len()
     }
 
     /// True if `self` and `other` share no element.
     pub fn is_disjoint(&self, other: &DenseBitSet) -> bool {
-        self.words.iter().zip(&other.words).all(|(a, b)| a & b == 0)
+        self.words()
+            .iter()
+            .zip(other.words())
+            .all(|(a, b)| a & b == 0)
     }
 
     /// Iterates over the indices in the set, in increasing order.
     pub fn iter(&self) -> Iter<'_> {
+        let words = self.words();
         Iter {
-            set: self,
+            words,
             word_index: 0,
-            current: self.words.first().copied().unwrap_or(0),
+            current: words.first().copied().unwrap_or(0),
         }
     }
 }
@@ -226,7 +247,7 @@ impl Extend<usize> for DenseBitSet {
 /// Iterator over set indices produced by [`DenseBitSet::iter`].
 #[derive(Clone, Debug)]
 pub struct Iter<'a> {
-    set: &'a DenseBitSet,
+    words: &'a [u64],
     word_index: usize,
     current: u64,
 }
@@ -242,10 +263,10 @@ impl Iterator for Iter<'_> {
                 return Some(self.word_index * WORD_BITS + bit);
             }
             self.word_index += 1;
-            if self.word_index >= self.set.words.len() {
+            if self.word_index >= self.words.len() {
                 return None;
             }
-            self.current = self.set.words[self.word_index];
+            self.current = self.words[self.word_index];
         }
     }
 }

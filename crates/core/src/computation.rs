@@ -12,7 +12,10 @@
 use std::fmt;
 use std::sync::Arc;
 
-use crate::order::{topo_from_edges, Closure, CycleError, IncrementalOrder};
+use crate::order::{
+    clocks_from_edges, join_clock, topo_from_edges, Adjacency, Closure, CycleError,
+};
+use crate::DfsReachability;
 use crate::{ClassId, ElementId, Event, EventId, Structure, ThreadTag, Value};
 
 /// Errors arising while building a computation.
@@ -71,28 +74,42 @@ fn fp_mix(z: u64) -> u64 {
 /// which is what makes the rolling fingerprint schedule-independent: two
 /// schedules produce the same *set* of items in different orders.
 fn fp_item(words: &[u64]) -> u64 {
-    let mut h = 0x517c_c1b7_2722_0a95;
-    for &w in words {
-        h = fp_mix(h ^ w);
-    }
-    h
+    let mut h = FpItem::new();
+    h.words(words);
+    h.0
 }
 
-/// Serialises a parameter value into fingerprint words (same variant-tag
-/// scheme as the exact canonical key, so distinct values never alias).
-fn fp_value(words: &mut Vec<u64>, v: &Value) {
-    match v {
-        Value::Unit => words.push(0),
-        Value::Bool(b) => words.extend([1, u64::from(*b)]),
-        Value::Int(i) => words.extend([2, *i as u64]),
-        Value::Str(s) => {
-            words.extend([3, s.len() as u64]);
-            words.extend(s.bytes().map(u64::from));
+/// [`fp_item`] fed incrementally, so an item of unknown length (an event
+/// with its parameters) hashes without being collected first.
+struct FpItem(u64);
+
+impl FpItem {
+    fn new() -> Self {
+        Self(0x517c_c1b7_2722_0a95)
+    }
+
+    fn words(&mut self, words: &[u64]) {
+        for &w in words {
+            self.0 = fp_mix(self.0 ^ w);
         }
-        Value::Pair(a, b) => {
-            words.push(4);
-            fp_value(words, a);
-            fp_value(words, b);
+    }
+
+    /// Feeds a parameter value (same variant-tag scheme as the exact
+    /// canonical key, so distinct values never alias).
+    fn value(&mut self, v: &Value) {
+        match v {
+            Value::Unit => self.words(&[0]),
+            Value::Bool(b) => self.words(&[1, u64::from(*b)]),
+            Value::Int(i) => self.words(&[2, *i as u64]),
+            Value::Str(s) => {
+                self.words(&[3, s.len() as u64]);
+                s.bytes().for_each(|b| self.words(&[u64::from(b)]));
+            }
+            Value::Pair(a, b) => {
+                self.words(&[4]);
+                self.value(a);
+                self.value(b);
+            }
         }
     }
 }
@@ -143,9 +160,19 @@ pub struct ComputationBuilder {
     enables: Vec<(EventId, EventId)>,
     precedences: Vec<(EventId, EventId)>,
     memberships: Vec<Membership>,
-    /// Reachability maintained edge-by-edge so sealing needs no O(n·m)
-    /// closure rebuild (the explore→seal hot path, DESIGN.md §4).
-    order: IncrementalOrder,
+    /// One vector clock per event, `element_count` entries each:
+    /// `clock[e·k + x]` counts the events at element `x` that precede or
+    /// are `e` (DESIGN.md §4). Exact while every edge has targeted the
+    /// newest event (the append path simulations take).
+    clock: Vec<u32>,
+    /// Set once an edge leaves the append path (it targets an older event
+    /// or is a self-loop): `clock` no longer reflects every edge, so order
+    /// queries and sealing fall back to the edge journal until a rollback
+    /// recomputes the clocks.
+    general: bool,
+    /// Enable-journal length when the newest event was added: every enable
+    /// edge into the newest event lies in `enables[newest_in..]`.
+    newest_in: usize,
     /// Events that received a *fresh* thread tag, in push order — the undo
     /// journal for [`ComputationBuilder::truncate_to`].
     tag_log: Vec<EventId>,
@@ -173,7 +200,7 @@ pub struct BuilderMark {
     precedences: usize,
     memberships: usize,
     tags: usize,
-    cycle: Option<CycleError>,
+    newest_in: usize,
     fp: u64,
 }
 
@@ -203,7 +230,9 @@ impl ComputationBuilder {
             enables: Vec::new(),
             precedences: Vec::new(),
             memberships: Vec::new(),
-            order: IncrementalOrder::new(),
+            clock: Vec::new(),
+            general: false,
+            newest_in: 0,
             tag_log: Vec::new(),
             fp: 0,
         }
@@ -240,15 +269,26 @@ impl ComputationBuilder {
         let id = EventId::from_raw(self.events.len() as u32);
         let chain = &self.element_events[element.index()];
         let seq = chain.len() as u32;
-        let prev = chain.last().copied();
-        let mut words = Vec::with_capacity(4 + 2 * params.len());
-        words.extend([FP_EVENT, fp_coord(element, seq), u64::from(class.as_raw())]);
-        words.push(params.len() as u64);
-        for p in &params {
-            fp_value(&mut words, p);
+        // Consecutive occurrences at one element are ordered (§5): the new
+        // clock starts from the previous occurrence's.
+        let k = self.structure.element_count();
+        match chain.last() {
+            Some(prev) => {
+                let row = prev.index() * k;
+                self.clock.extend_from_within(row..row + k);
+            }
+            None => self.clock.resize(self.clock.len() + k, 0),
         }
-        self.fp = self.fp.wrapping_add(fp_item(&words));
+        self.clock[id.index() * k + element.index()] = seq + 1;
+        let mut item = FpItem::new();
+        let (coord, class_word) = (fp_coord(element, seq), u64::from(class.as_raw()));
+        item.words(&[FP_EVENT, coord, class_word, params.len() as u64]);
+        for p in &params {
+            item.value(p);
+        }
+        self.fp = self.fp.wrapping_add(item.0);
         self.element_events[element.index()].push(id);
+        self.newest_in = self.enables.len();
         self.events.push(Event {
             id,
             element,
@@ -257,11 +297,6 @@ impl ComputationBuilder {
             params,
             threads: Vec::new(),
         });
-        self.order.push_node();
-        if let Some(prev) = prev {
-            // Consecutive occurrences at one element are ordered (§5).
-            self.order.add_edge(prev, id);
-        }
         Ok(id)
     }
 
@@ -281,8 +316,14 @@ impl ComputationBuilder {
         // Duplicate edges collapse at assembly, so only the first sighting
         // may contribute to the fingerprint — otherwise two schedules
         // emitting the same edge set with different multiplicities would
-        // fingerprint the same computation differently.
-        if !self.enables.contains(&(from, to)) {
+        // fingerprint the same computation differently. An edge into the
+        // newest event can only repeat one added since that event was.
+        let seen = if to.index() + 1 == self.events.len() {
+            &self.enables[self.newest_in..]
+        } else {
+            &self.enables[..]
+        };
+        if !seen.contains(&(from, to)) {
             self.fp = self.fp.wrapping_add(fp_item(&[
                 FP_ENABLE,
                 self.event_fp_coord(from),
@@ -290,8 +331,20 @@ impl ComputationBuilder {
             ]));
         }
         self.enables.push((from, to));
-        self.order.add_edge(from, to);
+        self.order_edge(from, to);
         Ok(())
+    }
+
+    /// Folds the order edge `from → to` into the clocks. On the append
+    /// path (`to` is the newest event) that is one row join; any other
+    /// edge switches the builder to the general path.
+    fn order_edge(&mut self, from: EventId, to: EventId) {
+        if from == to || to.index() + 1 != self.events.len() {
+            self.general = true;
+        } else if !self.general {
+            let k = self.structure.element_count();
+            join_clock(&mut self.clock, k, from.index(), to.index());
+        }
     }
 
     /// The `(element, seq)` fingerprint coordinate of an already-added
@@ -332,7 +385,7 @@ impl ComputationBuilder {
             ]));
         }
         self.precedences.push((before, after));
-        self.order.add_edge(before, after);
+        self.order_edge(before, after);
         Ok(())
     }
 
@@ -439,14 +492,30 @@ impl ComputationBuilder {
 
     /// True if `a` temporally precedes `b` in the computation built so
     /// far (transitive closure of enables ∪ explicit precedences ∪ the
-    /// per-element order), per the incrementally maintained reachability.
+    /// per-element order).
     ///
     /// For simulation-grown computations — where every edge targets the
-    /// newest event — the order between two already-added events never
-    /// changes as the builder grows, so this answer is final as soon as
-    /// both events exist.
+    /// newest event — this is one vector-clock lookup, and the order
+    /// between two already-added events never changes as the builder
+    /// grows, so the answer is final as soon as both events exist. Off the
+    /// append path it is a DFS over the edges built so far.
     pub fn order_precedes(&self, a: EventId, b: EventId) -> bool {
-        self.order.precedes(a, b)
+        if self.general {
+            return DfsReachability::from_edges(self.events.len(), &self.order_edges())
+                .precedes(a, b);
+        }
+        let ev = &self.events[a.index()];
+        let k = self.structure.element_count();
+        a != b && self.clock[b.index() * k + ev.element.index()] > ev.seq
+    }
+
+    /// True while every order edge has targeted the event that was newest
+    /// when the edge was added (and none was a self-loop): order queries
+    /// are then one vector-clock lookup and sealing reuses the clocks.
+    /// Simulation-grown builders always are; a builder that left the path
+    /// returns to it when a rollback recomputes the clocks.
+    pub fn on_append_path(&self) -> bool {
+        !self.general
     }
 
     /// Snapshots the current growth point for a later
@@ -458,7 +527,7 @@ impl ComputationBuilder {
             precedences: self.precedences.len(),
             memberships: self.memberships.len(),
             tags: self.tag_log.len(),
-            cycle: self.order.cycle().cloned(),
+            newest_in: self.newest_in,
             fp: self.fp,
         }
     }
@@ -473,12 +542,13 @@ impl ComputationBuilder {
     /// Rolls the builder back to `mark`, undoing every event, edge,
     /// membership, and thread tag added since.
     ///
-    /// The incremental order rolls back by column masking when every edge
-    /// added since the mark points *at* a post-mark event — which is always
-    /// the case for simulation-grown computations, where each step's edges
-    /// all target the event it just emitted. Retroactive edges between
-    /// pre-mark events trigger a full rebuild from the surviving edges
-    /// instead, so the rollback is correct for arbitrary builders.
+    /// The vector clocks roll back by truncation when every edge added
+    /// since the mark points *at* a post-mark event — which is always the
+    /// case for simulation-grown computations, where each step's edges all
+    /// target the event it just emitted. Otherwise (an edge into a
+    /// pre-mark event, or a builder already off the append path) the
+    /// clocks are recomputed from the surviving edges, so the rollback is
+    /// correct for arbitrary builders.
     ///
     /// # Panics
     ///
@@ -504,27 +574,28 @@ impl ComputationBuilder {
             let popped = self.element_events[ev.element.index()].pop();
             debug_assert_eq!(popped, Some(ev.id), "element chains append-only");
         }
-        let fast = self.enables[mark.enables..]
-            .iter()
-            .chain(&self.precedences[mark.precedences..])
-            .all(|&(_, to)| to.index() >= mark.events);
+        let fast = !self.general
+            && self.enables[mark.enables..]
+                .iter()
+                .chain(&self.precedences[mark.precedences..])
+                .all(|&(_, to)| to.index() >= mark.events);
         self.events.truncate(mark.events);
         self.enables.truncate(mark.enables);
         self.precedences.truncate(mark.precedences);
         self.memberships.truncate(mark.memberships);
         self.fp = mark.fp;
-        if fast {
-            self.order.truncate_to(mark.events, mark.cycle.clone());
-        } else {
-            let mut edges = self.enables.clone();
-            edges.extend_from_slice(&self.precedences);
-            for evs in &self.element_events {
-                for pair in evs.windows(2) {
-                    edges.push((pair[0], pair[1]));
+        self.newest_in = mark.newest_in;
+        self.clock
+            .truncate(mark.events * self.structure.element_count());
+        if !fast {
+            // A cyclic remainder keeps the general path; seal reports it.
+            match topo_from_edges(mark.events, &self.order_edges()) {
+                Ok((topo, out)) => {
+                    self.clock = clocks_from_edges(&self.element_events, &topo, &out);
+                    self.general = false;
                 }
+                Err(_) => self.general = true,
             }
-            self.order = IncrementalOrder::from_edges(mark.events, &edges);
-            self.order.set_cycle(mark.cycle.clone());
         }
     }
 
@@ -542,37 +613,28 @@ impl ComputationBuilder {
         edges
     }
 
-    /// Computes the temporal order from the incrementally-maintained rows:
-    /// one Kahn pass for the topological order / cycle report, then a
-    /// straight copy of the reachability rows — no per-row union sweep.
+    /// Computes the temporal order: one Kahn pass for the topological
+    /// order / cycle report, then the reachability rows from the vector
+    /// clocks — the maintained ones, or ones recomputed from the edges when
+    /// the builder left the append path.
     fn build_closure(&self) -> Result<Closure, BuildError> {
         let started = gem_obs::ambient::active().then(std::time::Instant::now);
-        let n = self.events.len();
-        let edges = self.order_edges();
-        match topo_from_edges(n, &edges) {
-            Ok((topo, _)) => {
-                debug_assert!(
-                    self.order.cycle().is_none(),
-                    "incremental order latched a cycle on an acyclic edge set"
-                );
-                let (succ, pred) = self.order.closure_rows();
-                let closure = Closure::from_parts(succ, pred, topo);
-                if let Some(started) = started {
-                    gem_obs::ambient::time_ns(
-                        "phase.closure",
-                        u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                    );
-                }
-                Ok(closure)
-            }
-            Err(cycle) => {
-                debug_assert!(
-                    self.order.cycle().is_some(),
-                    "incremental order missed a cycle"
-                );
-                Err(cycle.into())
-            }
+        let (topo, out) = topo_from_edges(self.events.len(), &self.order_edges())?;
+        let recomputed;
+        let clock = if self.general {
+            recomputed = clocks_from_edges(&self.element_events, &topo, &out);
+            &recomputed
+        } else {
+            &self.clock
+        };
+        let closure = Closure::from_clocks(clock, &self.element_events, topo);
+        if let Some(started) = started {
+            gem_obs::ambient::time_ns(
+                "phase.closure",
+                u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
+            );
         }
+        Ok(closure)
     }
 
     #[allow(clippy::too_many_arguments)] // internal seal plumbing, one caller
@@ -587,14 +649,22 @@ impl ComputationBuilder {
         fp: u64,
     ) -> Computation {
         let n = events.len();
-        let mut enables_out: Vec<Vec<EventId>> = vec![Vec::new(); n];
-        let mut enables_in: Vec<Vec<EventId>> = vec![Vec::new(); n];
-        for &(a, b) in enables {
-            if !enables_out[a.index()].contains(&b) {
-                enables_out[a.index()].push(b);
-                enables_in[b.index()].push(a);
-            }
-        }
+        // Keep each edge's first sighting: a journal edge repeats an
+        // earlier one iff its target already occurs among the targets of
+        // its source's earlier journal edges.
+        let all = Adjacency::new(n, enables.iter().copied());
+        let mut sighted = vec![0usize; n];
+        let firsts: Vec<(EventId, EventId)> = enables
+            .iter()
+            .copied()
+            .filter(|&(a, b)| {
+                let earlier = &all.of(a)[..sighted[a.index()]];
+                sighted[a.index()] += 1;
+                !earlier.contains(&b)
+            })
+            .collect();
+        let enables_out = Adjacency::new(n, firsts.iter().copied());
+        let enables_in = Adjacency::new(n, firsts.iter().map(|&(a, b)| (b, a)));
         let mut precedences_out: Vec<(EventId, EventId)> = Vec::with_capacity(precedences.len());
         for &p in precedences {
             if !precedences_out.contains(&p) {
@@ -670,8 +740,8 @@ impl ComputationBuilder {
 pub struct Computation {
     structure: Arc<Structure>,
     events: Vec<Event>,
-    enables_out: Vec<Vec<EventId>>,
-    enables_in: Vec<Vec<EventId>>,
+    enables_out: Adjacency,
+    enables_in: Adjacency,
     element_events: Vec<Vec<EventId>>,
     precedences: Vec<(EventId, EventId)>,
     closure: Closure,
@@ -759,25 +829,22 @@ impl Computation {
 
     /// True if `from ⊳ to` is a (direct) enable edge.
     pub fn enables(&self, from: EventId, to: EventId) -> bool {
-        self.enables_out[from.index()].contains(&to)
+        self.enables_out.of(from).contains(&to)
     }
 
     /// Events directly enabled by `e`.
     pub fn enabled_from(&self, e: EventId) -> &[EventId] {
-        &self.enables_out[e.index()]
+        self.enables_out.of(e)
     }
 
     /// Events that directly enable `e`.
     pub fn enablers_of(&self, e: EventId) -> &[EventId] {
-        &self.enables_in[e.index()]
+        self.enables_in.of(e)
     }
 
     /// Iterates over all enable edges.
     pub fn enable_edges(&self) -> impl Iterator<Item = (EventId, EventId)> + '_ {
-        self.enables_out
-            .iter()
-            .enumerate()
-            .flat_map(|(i, outs)| outs.iter().map(move |&b| (EventId::from_raw(i as u32), b)))
+        self.enables_out.edges()
     }
 
     /// The explicit temporal-precedence pairs recorded with
@@ -834,7 +901,9 @@ impl Computation {
     /// `e1 at E2` (§8.2): `e1` occurred and has not enabled an event of
     /// class `class`.
     pub fn at_control_point(&self, e: EventId, class: ClassId) -> bool {
-        !self.enables_out[e.index()]
+        !self
+            .enables_out
+            .of(e)
             .iter()
             .any(|&s| self.events[s.index()].class == class)
     }
@@ -1235,19 +1304,25 @@ mod tests {
     fn fingerprint_ignores_duplicate_edges() {
         let (s, p, q, step) = two_element_structure();
         let s = Arc::new(s);
-        let build = |dup: bool| {
+        let build = |dup_newest: bool, dup_older: bool| {
             let mut b = ComputationBuilder::new(Arc::clone(&s));
             let p0 = b.add_event(p, step, vec![]).unwrap();
             let q0 = b.add_event(q, step, vec![]).unwrap();
             b.enable(p0, q0).unwrap();
-            if dup {
+            if dup_newest {
+                b.enable(p0, q0).unwrap();
+            }
+            b.add_event(p, step, vec![]).unwrap();
+            if dup_older {
+                // q0 is no longer the newest event.
                 b.enable(p0, q0).unwrap();
             }
             b.seal().unwrap().fingerprint()
         };
         // Duplicate edges collapse in the sealed computation, so the
         // fingerprint must not see the multiplicity.
-        assert_eq!(build(false), build(true));
+        assert_eq!(build(false, false), build(true, false));
+        assert_eq!(build(false, false), build(false, true));
     }
 
     #[test]

@@ -9,6 +9,14 @@
 //! retrieval — the operations history enumeration and restriction
 //! evaluation perform constantly.
 //!
+//! Because the events at one element are totally ordered and that order
+//! is part of `⇒`, the predecessors of an event at each element form a
+//! prefix of the element's chain. The order is therefore exactly a
+//! *vector clock* per event, one entry per element: `clock(e)[x]` is the
+//! number of events at `x` that precede or are `e`. The computation builder
+//! keeps those clocks as it grows and [`Closure::from_clocks`] turns them
+//! into the matrix (DESIGN.md §4).
+//!
 //! An alternative on-demand DFS implementation ([`DfsReachability`]) is
 //! provided for the closure-representation ablation (DESIGN.md §4,
 //! bench `closure_scaling`).
@@ -61,23 +69,24 @@ impl Closure {
     pub fn from_edges(n: usize, edges: &[(EventId, EventId)]) -> Result<Self, CycleError> {
         let started = gem_obs::ambient::active().then(std::time::Instant::now);
         let (topo, out) = topo_from_edges(n, edges)?;
-        // succ rows in reverse topological order: row(v) = ∪ (row(w) ∪ {w}).
-        let mut succ = vec![DenseBitSet::new(n); n];
-        for &v in topo.iter().rev() {
-            let mut row = DenseBitSet::new(n);
-            for &w in &out[v.index()] {
-                row.insert(w as usize);
-                row.union_with(&succ[w as usize]);
+        let into = Adjacency::new(n, edges.iter().map(|&(a, b)| (b, a)));
+        // row(v) = ∪ (row(w) ∪ {w}) over v's neighbours, each finished
+        // before v: successors in reverse topological order, predecessors
+        // in topological order.
+        let reach = |order: &mut dyn Iterator<Item = &EventId>, adj: &Adjacency| {
+            let mut rows = vec![DenseBitSet::new(n); n];
+            for &v in order {
+                let mut row = std::mem::take(&mut rows[v.index()]);
+                for &w in adj.of(v) {
+                    row.insert(w.index());
+                    row.union_with(&rows[w.index()]);
+                }
+                rows[v.index()] = row;
             }
-            succ[v.index()] = row;
-        }
-        // pred is the transpose.
-        let mut pred = vec![DenseBitSet::new(n); n];
-        for (i, row) in succ.iter().enumerate() {
-            for j in row.iter() {
-                pred[j].insert(i);
-            }
-        }
+            rows
+        };
+        let succ = reach(&mut topo.iter().rev(), &out);
+        let pred = reach(&mut topo.iter(), &into);
         let closure = Self::from_parts(succ, pred, topo);
         if let Some(started) = started {
             gem_obs::ambient::time_ns(
@@ -88,15 +97,63 @@ impl Closure {
         Ok(closure)
     }
 
-    /// Assembles a closure from already-computed reachability rows and a
-    /// topological order, emitting the same probes as [`Closure::from_edges`].
-    /// Rows come either from the reverse-topo sweep above or from an
-    /// [`IncrementalOrder`] maintained while the computation was built.
-    pub(crate) fn from_parts(
-        succ: Vec<DenseBitSet>,
-        pred: Vec<DenseBitSet>,
-        topo: Vec<EventId>,
-    ) -> Self {
+    /// Builds the closure from per-event vector clocks.
+    ///
+    /// `chains[x]` lists the events at element `x` in element order, and
+    /// `clocks` holds one row of `chains.len()` entries per event:
+    /// `clocks[e·k + x]` counts the events at `x` that precede or are `e`.
+    /// Both matrices come out of word-level unions along the chains plus
+    /// one bit per (event, element) pair, never a bit-by-bit transpose:
+    ///
+    /// * `pred(v) = pred(p) ∪ {p} ∪ ⋃_y chain_y[clock(p)[y] .. clock(v)[y])`
+    ///   for `p` the previous event at `v`'s element;
+    /// * each `v` with `clock(v)[y] = c > 0` is a successor of
+    ///   `chain_y[c − 1]`, and `succ(u) ⊇ succ(next(u)) ∪ {next(u)}` carries
+    ///   it down the chain.
+    pub(crate) fn from_clocks(clocks: &[u32], chains: &[Vec<EventId>], topo: Vec<EventId>) -> Self {
+        let n = topo.len();
+        let k = chains.len();
+        let clock = |e: EventId| &clocks[e.index() * k..][..k];
+        let mut pred = vec![DenseBitSet::default(); n];
+        let mut succ = vec![DenseBitSet::new(n); n];
+        for (x, chain) in chains.iter().enumerate() {
+            for (s, &v) in chain.iter().enumerate() {
+                let (mut row, floor) = match s.checked_sub(1).map(|i| chain[i]) {
+                    Some(p) => {
+                        let mut row = pred[p.index()].clone();
+                        row.insert(p.index());
+                        (row, Some(clock(p)))
+                    }
+                    None => (DenseBitSet::new(n), None),
+                };
+                for (y, (other, &c)) in chains.iter().zip(clock(v)).enumerate() {
+                    if y == x || c == 0 {
+                        continue;
+                    }
+                    let lo = floor.map_or(0, |f| f[y] as usize);
+                    for u in &other[lo..c as usize] {
+                        row.insert(u.index());
+                    }
+                    succ[other[c as usize - 1].index()].insert(v.index());
+                }
+                pred[v.index()] = row;
+            }
+        }
+        for chain in chains {
+            for pair in chain.windows(2).rev() {
+                // Chains are id-ascending, so `next` splits after `u`.
+                let (u, next) = (pair[0].index(), pair[1].index());
+                let (lo, hi) = succ.split_at_mut(next);
+                lo[u].insert(next);
+                lo[u].union_with(&hi[0]);
+            }
+        }
+        Self::from_parts(succ, pred, topo)
+    }
+
+    /// Assembles a closure from computed reachability rows and a
+    /// topological order, emitting the closure probes.
+    fn from_parts(succ: Vec<DenseBitSet>, pred: Vec<DenseBitSet>, topo: Vec<EventId>) -> Self {
         let closure = Self { succ, pred, topo };
         if gem_obs::ambient::active() {
             gem_obs::ambient::add("core.closure.built", 1);
@@ -116,6 +173,7 @@ impl Closure {
     }
 
     /// True if `a ⇒ b` (strictly precedes in the temporal order).
+    #[inline]
     pub fn precedes(&self, a: EventId, b: EventId) -> bool {
         self.succ[a.index()].contains(b.index())
     }
@@ -147,28 +205,76 @@ impl Closure {
     }
 }
 
+/// Edges grouped by source in compressed-row form: the targets of `v` are
+/// `targets[start[v]..start[v + 1]]`, in edge order. One allocation per
+/// array instead of one per event.
+#[derive(Clone, Debug)]
+pub(crate) struct Adjacency {
+    start: Vec<u32>,
+    targets: Vec<EventId>,
+}
+
+impl Adjacency {
+    /// Groups `edges` over events `0..n` by source, keeping edge order
+    /// within each group.
+    pub(crate) fn new<I>(n: usize, edges: I) -> Self
+    where
+        I: IntoIterator<Item = (EventId, EventId)> + Clone,
+    {
+        let mut start = vec![0u32; n + 1];
+        for (a, _) in edges.clone() {
+            debug_assert!(a.index() < n, "edge endpoint out of range");
+            start[a.index() + 1] += 1;
+        }
+        for v in 0..n {
+            start[v + 1] += start[v];
+        }
+        let mut fill = start[..n].to_vec();
+        let mut targets = vec![EventId::from_raw(0); start[n] as usize];
+        for (a, b) in edges {
+            targets[fill[a.index()] as usize] = b;
+            fill[a.index()] += 1;
+        }
+        Self { start, targets }
+    }
+
+    /// The targets of `v`'s edges, in edge order.
+    pub(crate) fn of(&self, v: EventId) -> &[EventId] {
+        &self.targets[self.start[v.index()] as usize..self.start[v.index() + 1] as usize]
+    }
+
+    /// Every edge, grouped by source in id order.
+    pub(crate) fn edges(&self) -> impl Iterator<Item = (EventId, EventId)> + '_ {
+        self.start.windows(2).enumerate().flat_map(move |(v, w)| {
+            let from = EventId::from_raw(v as u32);
+            self.targets[w[0] as usize..w[1] as usize]
+                .iter()
+                .map(move |&to| (from, to))
+        })
+    }
+}
+
 /// Kahn's algorithm over `edges`: a topological order of `0..n` plus the
-/// adjacency lists, or the same [`CycleError`] the closure build reports.
+/// adjacency, or the same [`CycleError`] the closure build reports.
 pub(crate) fn topo_from_edges(
     n: usize,
     edges: &[(EventId, EventId)],
-) -> Result<(Vec<EventId>, Vec<Vec<u32>>), CycleError> {
-    let mut out: Vec<Vec<u32>> = vec![Vec::new(); n];
+) -> Result<(Vec<EventId>, Adjacency), CycleError> {
+    let out = Adjacency::new(n, edges.iter().copied());
     let mut indegree = vec![0u32; n];
-    for &(a, b) in edges {
-        debug_assert!(a.index() < n && b.index() < n, "edge endpoint out of range");
-        out[a.index()].push(b.as_raw());
+    for &(_, b) in edges {
         indegree[b.index()] += 1;
     }
-    let mut stack: Vec<u32> = (0..n as u32)
+    let mut stack: Vec<EventId> = (0..n as u32)
         .filter(|&i| indegree[i as usize] == 0)
+        .map(EventId::from_raw)
         .collect();
     let mut topo = Vec::with_capacity(n);
     while let Some(v) = stack.pop() {
-        topo.push(EventId::from_raw(v));
-        for &w in &out[v as usize] {
-            indegree[w as usize] -= 1;
-            if indegree[w as usize] == 0 {
+        topo.push(v);
+        for &w in out.of(v) {
+            indegree[w.index()] -= 1;
+            if indegree[w.index()] == 0 {
                 stack.push(w);
             }
         }
@@ -183,190 +289,43 @@ pub(crate) fn topo_from_edges(
     Ok((topo, out))
 }
 
-const WORD_BITS: usize = 64;
-
-/// Incrementally-maintained reachability over a growing event set.
-///
-/// The [`ComputationBuilder`](crate::ComputationBuilder) keeps one of these
-/// alive across the whole run: every `add_event`/`enable`/`add_precedence`
-/// updates the pred/succ rows in place (Italiano-style: on a fresh edge
-/// `a → b`, every predecessor of `a` gains every successor of `b`), so
-/// sealing no longer pays a from-scratch O(n·m) closure rebuild — it only
-/// converts the rows it already has. Cycle detection is preserved: an edge
-/// closing a cycle is *not* applied; instead the order latches a
-/// [`CycleError`] and ignores all further edges, which `seal` reports.
-///
-/// Rows are raw `u64` word vectors (not [`DenseBitSet`]) so capacity can
-/// grow geometrically without per-event reallocation and so exploration can
-/// roll rows back cheaply via [`IncrementalOrder::truncate_to`].
-#[derive(Clone, Debug, Default)]
-pub struct IncrementalOrder {
-    len: usize,
-    /// Allocated words per row (`≥ len.div_ceil(64)`, grows by doubling).
-    words: usize,
-    succ: Vec<Vec<u64>>,
-    pred: Vec<Vec<u64>>,
-    cycle: Option<CycleError>,
+/// Joins clock row `from` into row `to` (component-wise max): whatever
+/// precedes or is `from` now precedes `to`.
+pub(crate) fn join_clock(clocks: &mut [u32], k: usize, from: usize, to: usize) {
+    debug_assert_ne!(from, to, "a self-loop has no clock");
+    let (src, dst) = if from < to {
+        let (lo, hi) = clocks.split_at_mut(to * k);
+        (&lo[from * k..][..k], &mut hi[..k])
+    } else {
+        let (lo, hi) = clocks.split_at_mut(from * k);
+        (&hi[..k], &mut lo[to * k..][..k])
+    };
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d = (*d).max(s);
+    }
 }
 
-impl IncrementalOrder {
-    /// An empty order over zero events.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Rebuilds from scratch: `n` nodes, then `edges` in order. Used as the
-    /// rollback fallback when a truncation would remove edges between
-    /// surviving events.
-    pub fn from_edges<'a, I>(n: usize, edges: I) -> Self
-    where
-        I: IntoIterator<Item = &'a (EventId, EventId)>,
-    {
-        let mut order = Self::new();
-        for _ in 0..n {
-            order.push_node();
-        }
-        for &(a, b) in edges {
-            order.add_edge(a, b);
-        }
-        order
-    }
-
-    /// Number of nodes (events) tracked.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if no events are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The latched cycle, if any edge so far closed one.
-    pub fn cycle(&self) -> Option<&CycleError> {
-        self.cycle.as_ref()
-    }
-
-    /// Appends a new node with no edges; its id is the previous `len()`.
-    pub fn push_node(&mut self) {
-        let needed = (self.len + 1).div_ceil(WORD_BITS);
-        if needed > self.words {
-            let new_words = needed.max(self.words * 2);
-            for row in self.succ.iter_mut().chain(self.pred.iter_mut()) {
-                row.resize(new_words, 0);
-            }
-            self.words = new_words;
-        }
-        self.succ.push(vec![0; self.words]);
-        self.pred.push(vec![0; self.words]);
-        self.len += 1;
-    }
-
-    #[inline]
-    fn row_contains(row: &[u64], i: usize) -> bool {
-        row[i / WORD_BITS] & (1u64 << (i % WORD_BITS)) != 0
-    }
-
-    /// Adds the edge `a → b`, updating all reachability rows.
-    ///
-    /// A self-loop or back edge latches a [`CycleError`] (returned from
-    /// [`IncrementalOrder::cycle`]) and freezes the rows: once cyclic, later
-    /// edges are ignored, mirroring how `Closure::from_edges` rejects the
-    /// whole edge set.
-    pub fn add_edge(&mut self, a: EventId, b: EventId) {
-        if self.cycle.is_some() {
-            return;
-        }
-        let (ai, bi) = (a.index(), b.index());
-        debug_assert!(ai < self.len && bi < self.len, "edge endpoint out of range");
-        if a == b || Self::row_contains(&self.pred[ai], bi) {
-            self.cycle = Some(CycleError { on_cycle: a });
-            return;
-        }
-        if Self::row_contains(&self.succ[ai], bi) {
-            return; // already implied
-        }
-        // P = {a} ∪ pred(a), S = {b} ∪ succ(b); then succ(p) ∪= S for p ∈ P
-        // and pred(s) ∪= P for s ∈ S.
-        let mut p_row = self.pred[ai].clone();
-        p_row[ai / WORD_BITS] |= 1u64 << (ai % WORD_BITS);
-        let mut s_row = self.succ[bi].clone();
-        s_row[bi / WORD_BITS] |= 1u64 << (bi % WORD_BITS);
-        for (w, &word) in p_row.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let p = w * WORD_BITS + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                for (dst, &src) in self.succ[p].iter_mut().zip(&s_row) {
-                    *dst |= src;
-                }
-            }
-        }
-        for (w, &word) in s_row.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let s = w * WORD_BITS + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                for (dst, &src) in self.pred[s].iter_mut().zip(&p_row) {
-                    *dst |= src;
-                }
-            }
+/// Vector clocks of an acyclic edge set, computed afresh: each event
+/// starts at its own occurrence, then rows are joined along every edge in
+/// topological order. `out` must include the element-chain edges.
+pub(crate) fn clocks_from_edges(
+    chains: &[Vec<EventId>],
+    topo: &[EventId],
+    out: &Adjacency,
+) -> Vec<u32> {
+    let k = chains.len();
+    let mut clocks = vec![0u32; topo.len() * k];
+    for (x, chain) in chains.iter().enumerate() {
+        for (s, e) in chain.iter().enumerate() {
+            clocks[e.index() * k + x] = s as u32 + 1;
         }
     }
-
-    /// True if `a ⇒ b` under the edges applied so far. Meaningless once
-    /// [`IncrementalOrder::cycle`] is latched (rows are frozen).
-    pub fn precedes(&self, a: EventId, b: EventId) -> bool {
-        Self::row_contains(&self.succ[a.index()], b.index())
-    }
-
-    /// Rolls back to the first `n` nodes, keeping row allocations.
-    ///
-    /// Sound only if every edge added since node `n` existed pointed *at* a
-    /// node `≥ n` (then masking those columns removes exactly the rolled-back
-    /// edges' contributions). The builder checks that invariant and falls
-    /// back to [`IncrementalOrder::from_edges`] when it fails; `cycle` is
-    /// restored by the caller from its mark.
-    pub fn truncate_to(&mut self, n: usize, cycle: Option<CycleError>) {
-        debug_assert!(n <= self.len);
-        self.succ.truncate(n);
-        self.pred.truncate(n);
-        let full_words = n / WORD_BITS;
-        let rem = n % WORD_BITS;
-        for row in self.succ.iter_mut().chain(self.pred.iter_mut()) {
-            for word in row.iter_mut().skip(full_words + 1) {
-                *word = 0;
-            }
-            if let Some(word) = row.get_mut(full_words) {
-                *word &= if rem == 0 { 0 } else { (1u64 << rem) - 1 };
-            }
+    for &v in topo {
+        for &w in out.of(v) {
+            join_clock(&mut clocks, k, v.index(), w.index());
         }
-        self.len = n;
-        self.cycle = cycle;
     }
-
-    /// Overrides the latched cycle (used by the builder's rollback rebuild
-    /// to restore the exact witness its mark recorded).
-    pub(crate) fn set_cycle(&mut self, cycle: Option<CycleError>) {
-        self.cycle = cycle;
-    }
-
-    /// Converts the rows into [`DenseBitSet`] form for [`Closure`],
-    /// trimming each row to exactly `len` capacity.
-    pub(crate) fn closure_rows(&self) -> (Vec<DenseBitSet>, Vec<DenseBitSet>) {
-        let n = self.len;
-        let exact = n.div_ceil(WORD_BITS);
-        let to_sets = |rows: &[Vec<u64>]| {
-            rows.iter()
-                .map(|row| {
-                    let mut words = row.clone();
-                    words.truncate(exact);
-                    DenseBitSet::from_words(words, n)
-                })
-                .collect()
-        };
-        (to_sets(&self.succ), to_sets(&self.pred))
-    }
+    clocks
 }
 
 /// On-demand reachability by DFS over direct edges — the ablation
@@ -544,119 +503,6 @@ mod tests {
                     "mismatch at ({i}, {j})"
                 );
             }
-        }
-    }
-
-    fn incremental_from(n: usize, edges: &[(EventId, EventId)]) -> IncrementalOrder {
-        IncrementalOrder::from_edges(n, edges)
-    }
-
-    #[test]
-    fn incremental_matches_closure_on_random_dags() {
-        let n = 40;
-        let mut edges = Vec::new();
-        let mut seed = 0xdeadbeefdeadbeefu64;
-        for i in 0..n as u32 {
-            for j in (i + 1)..n as u32 {
-                seed = seed
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                if seed >> 61 == 0 {
-                    edges.push((e(i), e(j)));
-                }
-            }
-        }
-        let c = Closure::from_edges(n, &edges).unwrap();
-        let inc = incremental_from(n, &edges);
-        assert!(inc.cycle().is_none());
-        for i in 0..n as u32 {
-            for j in 0..n as u32 {
-                assert_eq!(
-                    c.precedes(e(i), e(j)),
-                    inc.precedes(e(i), e(j)),
-                    "mismatch at ({i}, {j})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn incremental_latches_cycle() {
-        let inc = incremental_from(3, &[(e(0), e(1)), (e(1), e(2)), (e(2), e(0))]);
-        assert!(inc.cycle().is_some());
-        let inc = incremental_from(1, &[(e(0), e(0))]);
-        assert_eq!(inc.cycle().unwrap().on_cycle, e(0));
-        // Interleaved push/add keeps detecting cycles across growth.
-        let mut inc = IncrementalOrder::new();
-        for _ in 0..70 {
-            inc.push_node();
-        }
-        inc.add_edge(e(0), e(65));
-        inc.add_edge(e(65), e(69));
-        assert!(inc.precedes(e(0), e(69)));
-        inc.add_edge(e(69), e(0));
-        assert!(inc.cycle().is_some());
-        // Frozen: further edges are ignored.
-        inc.add_edge(e(1), e(2));
-        assert!(!inc.precedes(e(1), e(2)));
-    }
-
-    #[test]
-    fn incremental_truncate_rolls_back_suffix_edges() {
-        // Edges into the suffix only — the fast-rollback shape exploration
-        // produces (every new edge targets the newest event).
-        let mut inc = IncrementalOrder::new();
-        for _ in 0..3 {
-            inc.push_node();
-        }
-        inc.add_edge(e(0), e(1));
-        inc.add_edge(e(1), e(2));
-        let mark = inc.len();
-        for _ in 0..130 {
-            inc.push_node();
-        }
-        inc.add_edge(e(2), e(100));
-        inc.add_edge(e(0), e(132));
-        assert!(inc.precedes(e(0), e(100)));
-        inc.truncate_to(mark, None);
-        assert_eq!(inc.len(), 3);
-        assert!(inc.precedes(e(0), e(2)));
-        assert!(inc.precedes(e(1), e(2)));
-        let c = Closure::from_edges(3, &[(e(0), e(1)), (e(1), e(2))]).unwrap();
-        for i in 0..3u32 {
-            for j in 0..3u32 {
-                assert_eq!(c.precedes(e(i), e(j)), inc.precedes(e(i), e(j)));
-            }
-        }
-        // Regrowing after a truncate works on the masked rows.
-        inc.push_node();
-        inc.add_edge(e(2), e(3));
-        assert!(inc.precedes(e(0), e(3)));
-    }
-
-    #[test]
-    fn incremental_truncate_restores_cycle_mark() {
-        let mut inc = incremental_from(2, &[(e(0), e(1))]);
-        let mark = inc.len();
-        inc.push_node();
-        inc.add_edge(e(1), e(2));
-        inc.add_edge(e(2), e(0)); // closes a cycle through the suffix
-        assert!(inc.cycle().is_some());
-        inc.truncate_to(mark, None);
-        assert!(inc.cycle().is_none());
-        assert!(inc.precedes(e(0), e(1)));
-        assert!(!inc.precedes(e(1), e(0)));
-    }
-
-    #[test]
-    fn incremental_closure_rows_roundtrip() {
-        let edges = [(e(0), e(1)), (e(0), e(2)), (e(1), e(3)), (e(2), e(3))];
-        let inc = incremental_from(4, &edges);
-        let (succ, pred) = inc.closure_rows();
-        let c = Closure::from_edges(4, &edges).unwrap();
-        for i in 0..4u32 {
-            assert_eq!(&succ[i as usize], c.successors(e(i)));
-            assert_eq!(&pred[i as usize], c.predecessors(e(i)));
         }
     }
 

@@ -700,6 +700,14 @@ impl Explorer {
                 leads.iter().map(|ops| op_edges(ops)).sum::<u64>() + op_edges(&tail_ops);
             probe.add("explore.frontier.steps", frontier_steps);
             probe.add("explore.frontier.items", slots.len() as u64);
+            // Every pool worker is reported, including one the others
+            // outran to every item, so the attribution's key set does not
+            // depend on thread scheduling.
+            for w in 0..workers {
+                for field in ["items", "steps", "leaves", "busy_ns", "idle_ns"] {
+                    probe.add(&format!("worker.{w}.{field}"), 0);
+                }
+            }
         }
 
         std::thread::scope(|scope| {

@@ -5,22 +5,21 @@
 //! probe argument through them would churn dozens of signatures. They
 //! record into the *ambient* probe instead: a thread-local slot a caller
 //! installs around a sweep (see `gem-verify`). When nothing is
-//! installed anywhere, the fast path is a single relaxed atomic load —
-//! and instrumented layers batch their counts, so even the slow path is
-//! per-call, not per-item.
+//! installed on the calling thread, the fast path is one thread-local
+//! load — and instrumented layers batch their counts, so even the slow
+//! path is per-call, not per-item. A probe installed on one thread never
+//! moves another thread off its fast path.
 
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
 use crate::probe::Probe;
 
-/// Count of installed guards across all threads; lets the fast path skip
-/// the thread-local lookup entirely when no probe exists anywhere.
-static INSTALLED: AtomicUsize = AtomicUsize::new(0);
-
 thread_local! {
     static CURRENT: RefCell<Vec<Arc<dyn Probe>>> = const { RefCell::new(Vec::new()) };
+    /// Installed guards on this thread; lets the fast path skip borrowing
+    /// `CURRENT`.
+    static DEPTH: Cell<usize> = const { Cell::new(0) };
 }
 
 /// Uninstalls on drop. Not `Send`: the probe must be uninstalled on the
@@ -34,7 +33,7 @@ pub struct AmbientGuard {
 /// nesting.
 pub fn install(probe: Arc<dyn Probe>) -> AmbientGuard {
     CURRENT.with(|c| c.borrow_mut().push(probe));
-    INSTALLED.fetch_add(1, Ordering::Relaxed);
+    DEPTH.with(|d| d.set(d.get() + 1));
     AmbientGuard {
         _not_send: std::marker::PhantomData,
     }
@@ -42,17 +41,17 @@ pub fn install(probe: Arc<dyn Probe>) -> AmbientGuard {
 
 impl Drop for AmbientGuard {
     fn drop(&mut self) {
-        INSTALLED.fetch_sub(1, Ordering::Relaxed);
+        DEPTH.with(|d| d.set(d.get() - 1));
         CURRENT.with(|c| {
             c.borrow_mut().pop();
         });
     }
 }
 
-/// True if some thread has an ambient probe installed (cheap pre-check).
+/// True if this thread has an ambient probe installed (cheap pre-check).
 #[inline]
 pub fn active() -> bool {
-    INSTALLED.load(Ordering::Relaxed) != 0
+    DEPTH.with(Cell::get) != 0
 }
 
 /// The probe currently installed on *this* thread, if any. Worker pools

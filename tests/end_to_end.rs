@@ -248,3 +248,62 @@ fn explorer_facade_consistency() {
     assert_eq!(stats.runs, runs);
     assert!(stats.steps >= stats.runs);
 }
+
+/// The monitor, CSP and ADA simulators only ever add edges into the event
+/// they just emitted, so their builders stay on the vector-clock append
+/// path (no DFS order queries, no clock recomputation at seal) on every
+/// run of the committed problem instances.
+#[test]
+fn simulators_stay_on_the_append_path() {
+    use gem::problems::{bounded, db_update, life, one_slot, philosophers, readers_writers};
+    use readers_writers::{
+        mesa_safe_readers_writers_monitor, rw_program_with_semantics, rw_rounds_program,
+    };
+
+    fn check<S: System>(name: &str, sys: &S) {
+        let mut leaves = 0;
+        Explorer::with_max_runs(500).for_each_run(sys, |state, _| {
+            let b = sys
+                .trace_builder(state)
+                .expect("simulators expose their builder");
+            assert!(b.on_append_path(), "{name}: builder left the append path");
+            leaves += 1;
+            ControlFlow::Continue(())
+        });
+        assert!(leaves > 0, "{name}: no runs explored");
+    }
+
+    let items = [1, 2, 3];
+    check("one-slot monitor", &one_slot::monitor_solution(&items));
+    check("one-slot csp", &one_slot::csp_solution(&items));
+    check("one-slot ada", &one_slot::ada_solution(&items));
+    check("bounded monitor", &bounded::monitor_solution(&items, 2));
+    check("bounded csp", &bounded::csp_solution(&items, 2));
+    check("bounded ada", &bounded::ada_solution(&items, 2));
+    for semantics in [
+        gem::lang::monitor::SignalSemantics::Hoare,
+        gem::lang::monitor::SignalSemantics::Mesa,
+    ] {
+        for monitor in [
+            gem::lang::monitor::readers_writers_monitor(),
+            readers_writers::writers_priority_monitor(),
+            mesa_safe_readers_writers_monitor(),
+        ] {
+            let sys = rw_program_with_semantics(monitor, 2, 1, true, semantics);
+            check("rw monitor", &sys);
+        }
+    }
+    let rounds = rw_rounds_program(gem::lang::monitor::readers_writers_monitor(), 1, 1, 2);
+    check("rw rounds", &rounds);
+    check("db-update csp", &db_update::db_update_program(2, 2));
+    check("life csp", &life::life_program(&life::blinker(), 1));
+    for order in [
+        philosophers::ForkOrder::Naive,
+        philosophers::ForkOrder::Asymmetric,
+    ] {
+        check(
+            "philosophers ada",
+            &philosophers::philosophers_program(3, 1, order),
+        );
+    }
+}

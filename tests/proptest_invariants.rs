@@ -9,8 +9,7 @@ use proptest::test_runner::TestCaseError;
 
 use gem::core::{
     check_legality, for_each_history, for_each_linearization, Closure, Computation,
-    ComputationBuilder, DenseBitSet, EventId, History, HistorySequence, IncrementalOrder,
-    Structure,
+    ComputationBuilder, DenseBitSet, EventId, History, HistorySequence, Structure,
 };
 use gem::logic::{holds_on_computation, EventSel, Formula};
 
@@ -68,43 +67,105 @@ proptest! {
         }
     }
 
-    /// The incremental reachability index agrees with the batch closure
-    /// build on arbitrary edge sets: same pairwise reachability when the
-    /// edges are acyclic, and cycle rejection in exactly the same cases
-    /// (including self-loops).
+    /// The builder's temporal order agrees with the batch closure of the
+    /// same edges. Events are appended at random elements with random
+    /// enablers among earlier events (the append path simulations take),
+    /// interleaved with random mark/truncate pairs; with `retro` set, edges
+    /// into older events and self-loops are injected too (the general
+    /// path). `order_precedes`, the sealed `closure()` and `topological()`
+    /// must equal `Closure::from_edges` over enables, precedences and
+    /// element chains, and a cyclic edge set must give the identical
+    /// `CycleError`.
     #[test]
-    fn incremental_order_matches_batch_closure(
-        (n, edges) in (1usize..=20).prop_flat_map(|n| {
-            (Just(n), proptest::collection::vec((0..n, 0..n), 0..n * 3))
+    fn builder_order_matches_batch_closure(
+        (n_el, retro, ops) in (1usize..=4, any::<bool>()).prop_flat_map(|(n_el, retro)| {
+            let op = (0usize..10, 0usize..64, 0usize..64, proptest::collection::vec(0usize..64, 0..3));
+            (Just(n_el), Just(retro), proptest::collection::vec(op, 0..40))
         })
     ) {
+        let mut s = Structure::new();
+        let act = s.add_class("Act", &[]).expect("class");
+        let els: Vec<_> = (0..n_el)
+            .map(|i| s.add_element(format!("P{i}"), &[act]).expect("element"))
+            .collect();
         let e = |i: usize| EventId::from_raw(i as u32);
-        let edge_ids: Vec<(EventId, EventId)> =
-            edges.iter().map(|&(a, b)| (e(a), e(b))).collect();
-        let mut inc = IncrementalOrder::new();
-        for _ in 0..n {
-            inc.push_node();
-        }
-        for &(a, b) in &edge_ids {
-            inc.add_edge(a, b);
-        }
-        match Closure::from_edges(n, &edge_ids) {
-            Ok(closure) => {
-                prop_assert!(inc.cycle().is_none(),
-                    "incremental latched a cycle on an acyclic edge set");
-                for a in 0..n {
-                    for b in 0..n {
-                        prop_assert_eq!(
-                            inc.precedes(e(a), e(b)),
-                            closure.precedes(e(a), e(b)),
-                            "reachability diverges at ({}, {})", a, b
-                        );
+        let mut b = ComputationBuilder::new(s);
+        // The mirror: element per event plus the enable and precedence
+        // journals, each rolled back alongside the builder.
+        let mut at: Vec<usize> = Vec::new();
+        let mut enables: Vec<(EventId, EventId)> = Vec::new();
+        let mut precedences: Vec<(EventId, EventId)> = Vec::new();
+        let mut marks = Vec::new();
+        let check = |b: &ComputationBuilder,
+                         at: &[usize],
+                         enables: &[(EventId, EventId)],
+                         precedences: &[(EventId, EventId)]|
+         -> Result<(), TestCaseError> {
+            let n = at.len();
+            let mut edges: Vec<_> = enables.iter().chain(precedences).copied().collect();
+            for el in 0..n_el {
+                let chain: Vec<_> = (0..n).filter(|&i| at[i] == el).collect();
+                edges.extend(chain.windows(2).map(|w| (e(w[0]), e(w[1]))));
+            }
+            match Closure::from_edges(n, &edges) {
+                Ok(expected) => {
+                    let sealed = b.seal_ref().expect("acyclic edges seal");
+                    prop_assert_eq!(sealed.closure(), &expected);
+                    prop_assert_eq!(sealed.closure().topological(), expected.topological());
+                    for x in 0..n {
+                        for y in 0..n {
+                            prop_assert_eq!(
+                                b.order_precedes(e(x), e(y)),
+                                expected.precedes(e(x), e(y)),
+                                "order_precedes diverges at ({}, {})", x, y
+                            );
+                        }
+                    }
+                }
+                Err(cycle) => prop_assert_eq!(
+                    b.seal_ref().map(|_| ()),
+                    Err(gem::core::BuildError::Cyclic(cycle))
+                ),
+            }
+            Ok(())
+        };
+        for (kind, x, y, enablers) in ops {
+            let n = at.len();
+            match kind {
+                6 => marks.push((b.mark(), b.on_append_path(), n, enables.len(), precedences.len())),
+                7 => {
+                    if let Some((mark, on_path, n, ne, np)) = marks.pop() {
+                        b.truncate_to(&mark);
+                        // Rolling back to a mark taken on the append path
+                        // returns the builder to it.
+                        prop_assert!(!on_path || b.on_append_path());
+                        at.truncate(n);
+                        enables.truncate(ne);
+                        precedences.truncate(np);
+                        check(&b, &at, &enables, &precedences)?;
+                    }
+                }
+                8 | 9 if retro && n > 0 => {
+                    let (from, to) = (e(x % n), e(y % n));
+                    if kind == 8 {
+                        b.enable(from, to).expect("known events");
+                        enables.push((from, to));
+                    } else {
+                        b.add_precedence(from, to).expect("known events");
+                        precedences.push((from, to));
+                    }
+                }
+                _ => {
+                    let id = b.add_event(els[x % n_el], act, vec![]).expect("event");
+                    at.push(x % n_el);
+                    for from in enablers.into_iter().filter(|_| n > 0) {
+                        b.enable(e(from % n), id).expect("known events");
+                        enables.push((e(from % n), id));
                     }
                 }
             }
-            Err(_) => prop_assert!(inc.cycle().is_some(),
-                "batch build rejected a cycle the incremental path missed"),
         }
+        check(&b, &at, &enables, &precedences)?;
     }
 
     /// Rolling a builder back to a mark erases the rolled-back suffix
